@@ -143,6 +143,10 @@ func runE13(cfg Config) []*metrics.Table {
 	t := metrics.NewTable("E13: SBT vs Mantis ("+itoa(numExp)+" experiments, theta=0.8)",
 		"index", "MiB", "exact", "probes/query", "false_hits", "missed_hits")
 	queries := 50
+	// Queries stay inside each experiment's own suffix (genomeLen/4
+	// bases), so the window shrinks with the genomes at small scales.
+	tail := genomeLen / 4
+	qlen := min(600, tail)
 	truth := func(q []uint64) map[int]bool {
 		need := int(0.8 * float64(len(q)))
 		out := map[int]bool{}
@@ -168,9 +172,9 @@ func runE13(cfg Config) []*metrics.Table {
 		for i := 0; i < queries; i++ {
 			e := i % numExp
 			g := genomes[e]
-			start := len(g) - 800 - (i%5)*37
+			start := len(g) - qlen - min(200+(i%5)*37, tail-qlen)
 			var q []uint64
-			kmer.Iterate(g[start:start+600], k, func(c uint64) { q = append(q, c) })
+			kmer.Iterate(g[start:start+qlen], k, func(c uint64) { q = append(q, c) })
 			want := truth(q)
 			got := query(q, 0.8)
 			gotSet := map[int]bool{}

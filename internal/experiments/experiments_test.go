@@ -35,11 +35,17 @@ func TestAllRegistered(t *testing.T) {
 
 func runOne(t *testing.T, id string) string {
 	t.Helper()
+	return runAt(t, id, smallScale)
+}
+
+// runAt runs experiment id at the given scale and renders its tables.
+func runAt(t *testing.T, id string, scale float64) string {
+	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("missing %s", id)
 	}
-	tables := e.Run(Config{Scale: smallScale})
+	tables := e.Run(Config{Scale: scale})
 	if len(tables) == 0 {
 		t.Fatalf("%s produced no tables", id)
 	}
@@ -74,6 +80,11 @@ func TestE10Runs(t *testing.T) { runOne(t, "E10") }
 func TestE11Runs(t *testing.T) { runOne(t, "E11") }
 func TestE12Runs(t *testing.T) { runOne(t, "E12") }
 func TestE13Runs(t *testing.T) { runOne(t, "E13") }
+
+// TestE13TinyScale pins E13's query window to its genome length: at
+// -scale 0.01 the genomes are shorter than the scale-1 window.
+func TestE13TinyScale(t *testing.T) { runAt(t, "E13", 0.01) }
+
 func TestE14Runs(t *testing.T) { runOne(t, "E14") }
 func TestE15Runs(t *testing.T) { runOne(t, "E15") }
 

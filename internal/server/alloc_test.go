@@ -1,8 +1,8 @@
 package server
 
 import (
+	"context"
 	"testing"
-	"time"
 
 	"beyondbloom/internal/lsm"
 )
@@ -93,12 +93,37 @@ func TestEngineContainsBatchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestCoalescerLoneDoZeroAlloc pins the lone-requester path: a Do that
+// finds no probe in flight leads, probes its own key in a recycled
+// window and makes no done channel, so it allocates nothing.
+func TestCoalescerLoneDoZeroAlloc(t *testing.T) {
+	c := NewCoalescer(256, func(keys, values []uint64, found []bool) error {
+		for i := range keys {
+			found[i] = keys[i]&1 == 1
+		}
+		return nil
+	}, nil)
+	defer c.Close()
+	ctx := context.Background()
+	key := uint64(0)
+	run := func() {
+		key++
+		if _, found, err := c.Do(ctx, key); err != nil || found != (key&1 == 1) {
+			t.Fatalf("Do(%d) = %v, %v", key, found, err)
+		}
+	}
+	run()
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Fatalf("lone Do allocates %.1f times per request, want 0", avg)
+	}
+}
+
 // TestCoalescerAsyncAmortizedAllocs pins the open-loop coalescer path:
 // windows are pooled, so per-request allocation at steady state is a
 // small fraction of an allocation (the occasional pool refill), not
 // one-plus per request.
 func TestCoalescerAsyncAmortizedAllocs(t *testing.T) {
-	c := NewCoalescer(256, time.Hour, func(keys, values []uint64, found []bool) error {
+	c := NewCoalescer(256, func(keys, values []uint64, found []bool) error {
 		for i := range keys {
 			found[i] = keys[i]&1 == 1
 		}
@@ -106,7 +131,7 @@ func TestCoalescerAsyncAmortizedAllocs(t *testing.T) {
 	}, func(tag, value uint64, found bool, err error) {})
 	defer c.Close()
 
-	run := func() { // exactly one capacity-sealed window per run
+	run := func() { // 256 keys, in as many batches as the flusher drains them in
 		for i := uint64(0); i < 256; i++ {
 			if err := c.EnqueueAsync(i, i); err != nil {
 				t.Fatal(err)
@@ -116,6 +141,6 @@ func TestCoalescerAsyncAmortizedAllocs(t *testing.T) {
 	run()
 	avg := testing.AllocsPerRun(100, run)
 	if perReq := avg / 256; perReq > 0.05 {
-		t.Fatalf("async coalescing allocates %.3f per request at steady state (%.1f per window), want amortized ~0", perReq, avg)
+		t.Fatalf("async coalescing allocates %.3f per request at steady state (%.1f per run), want amortized ~0", perReq, avg)
 	}
 }

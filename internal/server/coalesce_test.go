@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,20 +16,38 @@ import (
 // key*2. It records the size of every batch it was handed.
 type refFlush struct {
 	mu      sync.Mutex
+	calls   int
 	batches []int
-	gate    chan struct{} // when non-nil, flush blocks until it closes
-	started chan struct{} // signalled when a flush begins
+	gates   []chan struct{} // flush call i blocks until gates[i] closes
+	started chan int        // when non-nil, receives each call's index as it begins
+	yield   bool            // yield the processor mid-probe, as a slower backend would
+}
+
+// gated returns a refFlush whose first n calls each block on a gate of
+// their own.
+func gated(n int) *refFlush {
+	// started is buffered past any test's flush count, so a flush never
+	// blocks on a test that has stopped reading it.
+	r := &refFlush{started: make(chan int, 16)}
+	for i := 0; i < n; i++ {
+		r.gates = append(r.gates, make(chan struct{}))
+	}
+	return r
 }
 
 func (r *refFlush) fn(keys []uint64, values []uint64, found []bool) error {
+	r.mu.Lock()
+	call := r.calls
+	r.calls++
+	r.mu.Unlock()
 	if r.started != nil {
-		select {
-		case r.started <- struct{}{}:
-		default:
-		}
+		r.started <- call
 	}
-	if r.gate != nil {
-		<-r.gate
+	if call < len(r.gates) {
+		<-r.gates[call]
+	}
+	if r.yield {
+		runtime.Gosched()
 	}
 	r.mu.Lock()
 	r.batches = append(r.batches, len(keys))
@@ -108,124 +128,170 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	t.Fatalf("condition not reached within %v", d)
 }
 
-// pendingKeys reads the open window's fill level (white-box).
+// pendingKeys reads how many keys are queued behind the probe in
+// flight (white-box).
 func pendingKeys(c *Coalescer) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cur == nil {
+	if c.next == nil {
 		return 0
 	}
-	return len(c.cur.keys)
+	return len(c.next.keys)
 }
 
-// TestCoalescerWindowEdges drives the coalescing window through its
-// edge cases, one subtest per row. Single-key requests are enqueued
-// asynchronously where determinism matters (the enqueue itself is
-// synchronous; only the answer is deferred), so window fill order is
-// exact, not scheduler-dependent.
+// leadGated starts a leader Do on key in the background and returns
+// once its probe is blocked on flush's first gate, with the leader's
+// result channel.
+func leadGated(t *testing.T, c *Coalescer, flush *refFlush, key uint64) <-chan error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() {
+		value, found, err := c.Do(context.Background(), key)
+		if err == nil && (value != key*2 || found != (key%3 == 0)) {
+			err = errors.New("leader got a wrong answer")
+		}
+		errc <- err
+	}()
+	if call := <-flush.started; call != 0 {
+		t.Fatalf("first flush call is %d, want 0", call)
+	}
+	return errc
+}
+
+func wantBatches(t *testing.T, flush *refFlush, want ...int) {
+	t.Helper()
+	if got := flush.batchSizes(); !slices.Equal(got, want) {
+		t.Fatalf("batch sizes = %v, want %v", got, want)
+	}
+}
+
+func wantNoErr(t *testing.T, errc <-chan error) {
+	t.Helper()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("request hung")
+	}
+}
+
+// TestCoalescerWindowEdges drives the leader/follower hand-off through
+// its edge cases, one subtest per row. A gated flush holds a probe in
+// flight so the queue behind it can be filled exactly; followers are
+// enqueued asynchronously where determinism matters (the enqueue
+// itself is synchronous; only the answer is deferred).
 func TestCoalescerWindowEdges(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(t *testing.T)
 	}{
-		{"batch exactly at capacity flushes immediately", func(t *testing.T) {
+		{"lone request is probed at once with no timer", func(t *testing.T) {
 			flush := &refFlush{}
 			sink := newSinkRecorder()
-			c := NewCoalescer(4, time.Hour, flush.fn, sink.fn)
+			c := NewCoalescer(1024, flush.fn, sink.fn)
 			defer c.Close()
-			for i := uint64(0); i < 3; i++ {
-				if err := c.EnqueueAsync(10+i, i); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := c.Stats().Windows; got != 0 {
-				t.Fatalf("window flushed before capacity: %d windows", got)
-			}
-			// The 4th request seals the window and flushes it inline: its
-			// answer returns without any deadline involvement (the window
-			// deadline is an hour out).
-			value, found, err := c.Do(context.Background(), 13)
+			// The leader's own goroutine runs the probe, so the answer and
+			// the stats are both in place when Do returns.
+			value, found, err := c.Do(context.Background(), 12)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantAnswer(t, 13, value, found)
-			st := c.Stats()
-			if st.Windows != 1 || st.CapacityFlushes != 1 || st.DeadlineFlushes != 0 {
-				t.Fatalf("stats = %+v, want exactly one capacity flush", st)
+			wantAnswer(t, 12, value, found)
+			if st := c.Stats(); st.Windows != 1 || st.Keys != 1 {
+				t.Fatalf("stats = %+v, want one window of one key", st)
 			}
-			if st.Keys != 4 {
-				t.Fatalf("flushed %d keys, want 4", st.Keys)
+			// A lone async key wakes the flusher at once.
+			if err := c.EnqueueAsync(13, 0); err != nil {
+				t.Fatal(err)
 			}
-			for i := uint64(0); i < 3; i++ {
-				sink.check(t, i, 10+i)
+			waitFor(t, 2*time.Second, func() bool { return sink.len() == 1 })
+			sink.check(t, 0, 13)
+			wantBatches(t, flush, 1, 1)
+		}},
+		{"request arriving during a flush starts a fresh window", func(t *testing.T) {
+			flush := gated(1)
+			sink := newSinkRecorder()
+			c := NewCoalescer(1024, flush.fn, sink.fn)
+			defer c.Close()
+			leader := leadGated(t, c, flush, 40)
+			// The probe is mid-flight: everything arriving now, sync or
+			// async, lands in one next batch, not the one being probed.
+			follower := make(chan error, 1)
+			go func() {
+				value, found, err := c.Do(context.Background(), 43)
+				if err == nil && (value != 86 || found) {
+					err = errors.New("follower got a wrong answer")
+				}
+				follower <- err
+			}()
+			async := []uint64{41, 42, 44}
+			for i, key := range async {
+				if err := c.EnqueueAsync(key, uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, 2*time.Second, func() bool { return pendingKeys(c) == 4 })
+			close(flush.gates[0])
+			wantNoErr(t, leader)
+			wantNoErr(t, follower)
+			waitFor(t, 2*time.Second, func() bool { return sink.len() == 3 })
+			wantBatches(t, flush, 1, 4)
+			for i, key := range async {
+				sink.check(t, uint64(i), key)
 			}
 		}},
-		{"under-capacity window flushes on deadline", func(t *testing.T) {
-			flush := &refFlush{}
+		{"MaxBatch splits the queue", func(t *testing.T) {
+			flush := gated(1)
 			sink := newSinkRecorder()
-			c := NewCoalescer(1024, 5*time.Millisecond, flush.fn, sink.fn)
+			c := NewCoalescer(4, flush.fn, sink.fn)
 			defer c.Close()
-			for i := uint64(0); i < 3; i++ {
+			leader := leadGated(t, c, flush, 10)
+			for i := uint64(0); i < 10; i++ {
 				if err := c.EnqueueAsync(20+i, i); err != nil {
 					t.Fatal(err)
 				}
 			}
-			waitFor(t, 2*time.Second, func() bool { return c.Stats().Windows == 1 })
-			st := c.Stats()
-			if st.DeadlineFlushes != 1 || st.CapacityFlushes != 0 {
-				t.Fatalf("stats = %+v, want exactly one deadline flush", st)
+			close(flush.gates[0])
+			wantNoErr(t, leader)
+			waitFor(t, 2*time.Second, func() bool { return sink.len() == 10 })
+			wantBatches(t, flush, 1, 4, 4, 2)
+			if st := c.Stats(); st.Windows != 4 || st.CapacityFlushes != 2 || st.Keys != 11 {
+				t.Fatalf("stats = %+v, want 4 windows, 2 of them full, 11 keys", st)
 			}
-			if sizes := flush.batchSizes(); len(sizes) != 1 || sizes[0] != 3 {
-				t.Fatalf("batch sizes = %v, want [3]", sizes)
-			}
-			for i := uint64(0); i < 3; i++ {
+			for i := uint64(0); i < 10; i++ {
 				sink.check(t, i, 20+i)
 			}
 		}},
-		{"deadline firing with no open window is an empty no-op flush", func(t *testing.T) {
-			flush := &refFlush{}
+		{"sync leader returns after its own probe while later batches go to the flusher", func(t *testing.T) {
+			flush := gated(2)
 			sink := newSinkRecorder()
-			c := NewCoalescer(2, 5*time.Millisecond, flush.fn, sink.fn)
+			c := NewCoalescer(1024, flush.fn, sink.fn)
 			defer c.Close()
-			// Fill to capacity instantly: the window seals before its
-			// deadline, and the already-armed timer later fires into
-			// nothing. That empty fire must not flush, error, or hang.
-			c.EnqueueAsync(30, 0)
-			c.EnqueueAsync(31, 1)
-			waitFor(t, 2*time.Second, func() bool { return c.Stats().EmptyDeadlines >= 1 })
-			st := c.Stats()
-			if st.Windows != 1 || st.CapacityFlushes != 1 {
-				t.Fatalf("stats = %+v, want the one capacity flush only", st)
+			leader := leadGated(t, c, flush, 30)
+			c.EnqueueAsync(31, 0)
+			c.EnqueueAsync(32, 1)
+			close(flush.gates[0])
+			// The next batch's probe is now held by its gate; the leader
+			// must not wait for it.
+			if call := <-flush.started; call != 1 {
+				t.Fatalf("second flush call is %d, want 1", call)
 			}
-		}},
-		{"request arriving during a flush starts a fresh window", func(t *testing.T) {
-			flush := &refFlush{gate: make(chan struct{}), started: make(chan struct{}, 1)}
-			sink := newSinkRecorder()
-			c := NewCoalescer(2, 30*time.Millisecond, flush.fn, sink.fn)
-			defer c.Close()
-			c.EnqueueAsync(40, 0)
-			go c.EnqueueAsync(41, 1) // seals the window, runs the (gated) flush
-			<-flush.started
-			// The flush is mid-flight; this request must land in a fresh
-			// window, not the one being flushed.
-			if err := c.EnqueueAsync(42, 2); err != nil {
-				t.Fatal(err)
+			wantNoErr(t, leader)
+			if got := sink.len(); got != 0 {
+				t.Fatalf("%d async answers delivered before the flusher's probe finished", got)
 			}
-			if got := pendingKeys(c); got != 1 {
-				t.Fatalf("fresh window holds %d keys, want 1", got)
-			}
-			close(flush.gate)
-			waitFor(t, 2*time.Second, func() bool { return sink.len() == 3 })
-			if sizes := flush.batchSizes(); len(sizes) != 2 || sizes[0] != 2 || sizes[1] != 1 {
-				t.Fatalf("batch sizes = %v, want [2 1]", sizes)
-			}
-			for i := uint64(0); i < 3; i++ {
-				sink.check(t, i, 40+i)
-			}
+			close(flush.gates[1])
+			waitFor(t, 2*time.Second, func() bool { return sink.len() == 2 })
+			wantBatches(t, flush, 1, 2)
+			sink.check(t, 0, 31)
+			sink.check(t, 1, 32)
 		}},
 		{"shutdown answers every in-flight waiter, then rejects", func(t *testing.T) {
-			flush := &refFlush{}
-			c := NewCoalescer(1024, time.Hour, flush.fn, nil)
+			flush := gated(1)
+			c := NewCoalescer(1024, flush.fn, nil)
+			leader := leadGated(t, c, flush, 59)
 			const waiters = 3
 			type result struct {
 				key   uint64
@@ -241,7 +307,20 @@ func TestCoalescerWindowEdges(t *testing.T) {
 				}(60 + i)
 			}
 			waitFor(t, 2*time.Second, func() bool { return pendingKeys(c) == waiters })
-			c.Close()
+			closed := make(chan struct{})
+			go func() { c.Close(); close(closed) }()
+			waitFor(t, 2*time.Second, func() bool {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				return c.closed
+			})
+			// Close is waiting out the probe in flight and the queued
+			// window; new requests are already refused.
+			if _, _, err := c.Do(context.Background(), 99); !errors.Is(err, ErrShutdown) {
+				t.Fatalf("Do during Close error = %v, want ErrShutdown", err)
+			}
+			close(flush.gates[0])
+			wantNoErr(t, leader)
 			for i := 0; i < waiters; i++ {
 				select {
 				case r := <-results:
@@ -253,8 +332,9 @@ func TestCoalescerWindowEdges(t *testing.T) {
 					t.Fatal("waiter hung across shutdown")
 				}
 			}
-			if st := c.Stats(); st.CloseFlushes != 1 {
-				t.Fatalf("stats = %+v, want one close flush", st)
+			<-closed
+			if st := c.Stats(); st.CloseFlushes != 1 || st.Rejected != 1 {
+				t.Fatalf("stats = %+v, want one close flush and one rejection", st)
 			}
 			if _, _, err := c.Do(context.Background(), 99); !errors.Is(err, ErrShutdown) {
 				t.Fatalf("post-close Do error = %v, want ErrShutdown", err)
@@ -262,11 +342,13 @@ func TestCoalescerWindowEdges(t *testing.T) {
 			if err := c.EnqueueAsync(99, 0); !errors.Is(err, ErrShutdown) {
 				t.Fatalf("post-close EnqueueAsync error = %v, want ErrShutdown", err)
 			}
+			c.Close() // idempotent
 		}},
 		{"cancelled request abandons its slot without corrupting the batch", func(t *testing.T) {
-			flush := &refFlush{}
+			flush := gated(1)
 			sink := newSinkRecorder()
-			c := NewCoalescer(1024, time.Hour, flush.fn, sink.fn)
+			c := NewCoalescer(1024, flush.fn, sink.fn)
+			leader := leadGated(t, c, flush, 69)
 			ctx, cancel := context.WithCancel(context.Background())
 			errCh := make(chan error, 1)
 			go func() {
@@ -283,15 +365,15 @@ func TestCoalescerWindowEdges(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("cancelled Do did not return")
 			}
-			// The abandoned slot stays in the window; a later request joins
-			// the same batch and the flush sees both keys, in order.
+			// The abandoned slot stays queued; a later request joins the
+			// same batch and the flush sees both keys, in order.
 			if err := c.EnqueueAsync(71, 1); err != nil {
 				t.Fatal(err)
 			}
-			c.Close() // flushes the window with both keys
-			if sizes := flush.batchSizes(); len(sizes) != 1 || sizes[0] != 2 {
-				t.Fatalf("batch sizes = %v, want [2] (cancelled slot kept)", sizes)
-			}
+			close(flush.gates[0])
+			wantNoErr(t, leader)
+			c.Close() // returns once the queued batch is answered
+			wantBatches(t, flush, 1, 2)
 			sink.check(t, 1, 71)
 		}},
 	}
@@ -304,10 +386,11 @@ func TestCoalescerWindowEdges(t *testing.T) {
 // goroutines and checks every single answer against the reference
 // function — any cross-slot mixup, lost wakeup, or double delivery
 // fails loudly. Run under -race this is the coalescer's core safety
-// proof.
+// proof. Each probe yields the processor, so requests arrive while a
+// probe is in flight even when the test gets a single core.
 func TestCoalescerConcurrentExactness(t *testing.T) {
-	flush := &refFlush{}
-	c := NewCoalescer(16, 100*time.Microsecond, flush.fn, nil)
+	flush := &refFlush{yield: true}
+	c := NewCoalescer(16, flush.fn, nil)
 	defer c.Close()
 	const goroutines = 8
 	const perG = 400
@@ -352,7 +435,7 @@ func TestCoalescerConcurrentExactness(t *testing.T) {
 func TestCoalescerCloseRace(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		flush := &refFlush{}
-		c := NewCoalescer(8, 50*time.Microsecond, flush.fn, nil)
+		c := NewCoalescer(8, flush.fn, nil)
 		var wg sync.WaitGroup
 		var wrong atomic.Int64
 		for g := 0; g < 4; g++ {

@@ -103,7 +103,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // handleContains answers membership: {"key": k} goes through the
-// coalescing window, {"keys": [...]} through the direct batch path.
+// coalescer, {"keys": [...]} through the direct batch path.
 func (s *Server) handleContains(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.readBody(w, r, maxJSONBody)
 	if !ok {

@@ -24,6 +24,9 @@ go test -race ./...
 echo "== experiment smoke (exp all -scale 0.05) =="
 go run ./cmd/beyondbloom exp all -scale 0.05 >/dev/null
 
+echo "== tiny-scale sweep (exp all -scale 0.01): no experiment panics at small sizes =="
+go run ./cmd/beyondbloom exp all -scale 0.01 >/dev/null
+
 echo "== concurrent engine smoke (exp E18 -scale 0.1) =="
 go run ./cmd/beyondbloom exp E18 -scale 0.1 >/dev/null
 
