@@ -1,6 +1,7 @@
 // Command filterd serves a membership filter (and optionally an LSM
-// key-value store) over HTTP, batching concurrent point probes into
-// hash-once/probe-many windows (DESIGN.md §11). It also bundles the
+// key-value store) over HTTP: single keys by a scalar probe, binary
+// frames of up to 4096 keys by one hash-once/probe-many batch pass
+// (DESIGN.md §11). It also bundles the
 // small client verbs the smoke tests and operators need: build a
 // filter file, probe a running server, write keys, and trigger a
 // zero-downtime filter reload.
@@ -70,7 +71,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   filterd serve  [-addr host:port] [-filter file.bbf] [-store dir] [-durability none|buffered|group|always]
-                 [-batch n] [-max-inflight n] [-max-inflight-writes n]
+                 [-max-inflight n] [-max-inflight-writes n]
                  [-n keys] [-bits bits/key] [-log-shards k] [-portfile path]
   filterd build  (-o file.bbf | -store dir [-policy none|bloom|monkey|maplet]) [-n keys] [-bits bits/key] [-seed s]
   filterd probe  -addr host:port (-key k | -keys k1,k2,...) [-binary] [-get]
@@ -80,16 +81,16 @@ func usage() {
 }
 
 // cmdServe builds the engine from flags and serves until SIGINT or
-// SIGTERM, then shuts down in dependency order: stop accepting HTTP,
-// drain the coalescers (every in-flight waiter gets a real answer),
-// and only then close the store so final flushes still have a backend.
+// SIGTERM, then shuts down in dependency order: stop accepting HTTP
+// and wait for the handlers in flight, close the engine so any later
+// request fails fast, and only then close the store, so no read runs
+// against a closed store.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8077", "listen address")
 	filterPath := fs.String("filter", "", "serve this .bbf filter file (read-only membership)")
 	storeDir := fs.String("store", "", "attach an LSM key-value store in this directory")
 	durability := fs.String("durability", "group", "store WAL mode: none, buffered, group, always")
-	batch := fs.Int("batch", 0, "most point requests coalesced into one probe (0 = default)")
 	maxInflight := fs.Int("max-inflight", 0, "read admission budget in keys (0 = default)")
 	maxInflightWrites := fs.Int("max-inflight-writes", 0, "write admission budget (0 = default)")
 	n := fs.Int("n", 1<<20, "fresh mutable filter capacity (when -filter is not set)")
@@ -129,7 +130,6 @@ func cmdServe(args []string) error {
 	}
 
 	engine, err := server.NewEngine(filter, store, server.Config{
-		MaxBatch:          *batch,
 		MaxInflightKeys:   *maxInflight,
 		MaxInflightWrites: *maxInflightWrites,
 	})

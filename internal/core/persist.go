@@ -28,9 +28,9 @@ const (
 	TypeTaffy          uint16 = 25 // taffy.Filter
 
 	// Application-layer kinds (not filters; decoded by their owners).
-	TypeLSMManifest   uint16 = 32 // lsm store manifest, v1 layout (pre-durability)
+	TypeLSMManifest   uint16 = 32 // reserved: lsm manifest v1 layout, rejected on open
 	TypeLSMRun        uint16 = 33 // lsm run data file
-	TypeLSMManifestV2 uint16 = 34 // lsm store manifest with durability fields
+	TypeLSMManifestV2 uint16 = 34 // reserved: lsm manifest v2 layout, rejected on open
 	TypeLSMManifestV3 uint16 = 35 // lsm store manifest with the growable-run-filter flag
 )
 

@@ -294,10 +294,8 @@ func (s *Store) Save(dir string) error {
 // The frame kind is TypeLSMManifestV3: the durability fields extended
 // the v1 layout mid-stream (v2), and the growable-run-filter flag
 // extended v2 (v3) — each a distinct kind rather than a silent
-// relayout. OpenStore still decodes v1 and v2 manifests (their missing
-// fields are false/zero by construction), and an image from a format
-// newer than all three fails with a clear kind error instead of a
-// misparse.
+// relayout. OpenStore decodes v3 only; a v1, v2 or foreign image fails
+// with a clear kind error instead of a misparse.
 func (s *Store) encodeManifest(v *view, mem map[uint64]Entry, nextID uint64, freeIDs []uint64, durable bool, watermark uint64) ([]byte, error) {
 	var e codec.Enc
 	// Structural options: a reopened store must rebuild the exact same
@@ -557,21 +555,12 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 		}
 		return nil, err
 	}
-	// The manifest kind doubles as the layout version: v1 (pre-WAL
-	// releases) lacks the durability fields, v2 carries them, v3 adds
-	// the growable-run-filter flag. Anything else is a foreign or future
-	// format and is rejected loudly.
-	kind, _, err := codec.PeekKind(bytes.NewReader(raw))
+	// The manifest kind doubles as the layout version. Only v3 is
+	// written and read; the v1 and v2 kinds stay reserved and are
+	// rejected like any foreign or future format.
+	payload, err := codec.ReadFrame(bytes.NewReader(raw), core.TypeLSMManifestV3)
 	if err != nil {
-		return nil, err
-	}
-	if kind != core.TypeLSMManifest && kind != core.TypeLSMManifestV2 && kind != core.TypeLSMManifestV3 {
-		return nil, fmt.Errorf("%w: lsm: manifest frame kind %d, want %d (v1), %d (v2) or %d (v3)",
-			codec.ErrKind, kind, core.TypeLSMManifest, core.TypeLSMManifestV2, core.TypeLSMManifestV3)
-	}
-	payload, err := codec.ReadFrame(bytes.NewReader(raw), kind)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lsm: manifest: %w", err)
 	}
 	d := codec.NewDec(payload)
 	memtableSize := int(d.U64())
@@ -581,25 +570,15 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 	monkeyBaseFPR := d.F64()
 	compaction := CompactionPolicy(d.U8())
 	hadRangeFilter := d.Bool()
-	// The growable-filter flag exists only in the v3 layout; older
-	// manifests predate growable run filters, so it is false there.
-	growable := false
-	if kind == core.TypeLSMManifestV3 {
-		growable = d.Bool()
-	}
+	growable := d.Bool()
 	var counters [9]uint64
 	for i := range counters {
 		counters[i] = d.U64()
 	}
 	nextID := d.U64()
 	freeIDs := d.U64s()
-	// The durability fields exist only in the v2 layout; a v1 manifest
-	// is by definition a snapshot-only image.
-	durable, watermark := false, uint64(0)
-	if kind != core.TypeLSMManifest {
-		durable = d.Bool()
-		watermark = d.U64()
-	}
+	durable := d.Bool()
+	watermark := d.U64()
 	memCount := d.U64()
 	if d.Err() == nil && memCount > uint64(d.Remaining())/entryBytes {
 		return nil, d.Corruptf("lsm: manifest claims %d memtable entries in %d bytes", memCount, d.Remaining())

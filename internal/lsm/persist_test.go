@@ -208,72 +208,21 @@ func TestOpenStoreDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestOpenStoreV1Manifest: a manifest written by the pre-durability
-// release (kind TypeLSMManifest, no durable/watermark fields) still
-// opens — the persistence layer is versioned by frame kind, so the
-// old layout decodes as a snapshot-only image instead of misparsing.
-func TestOpenStoreV1Manifest(t *testing.T) {
-	var e codec.Enc
-	e.U64(8) // MemtableSize
-	e.U64(4) // SizeRatio
-	e.U8(uint8(PolicyBloom))
-	e.F64(10)   // BitsPerKey
-	e.F64(0.01) // MonkeyBaseFPR
-	e.U8(uint8(Leveling))
-	e.Bool(false)            // no range filter
-	for i := 0; i < 9; i++ { // device + filter counters
-		e.U64(0)
-	}
-	e.U64(0)    // nextID
-	e.U64s(nil) // freeIDs
-	// v1 stops here: no durable flag, no watermark.
-	e.U64(2) // memtable
-	e.U64(1)
-	e.U64(10)
-	e.Bool(false)
-	e.U64(2)
-	e.U64(20)
-	e.Bool(false)
-	e.U64(0)      // no levels
-	e.Bool(false) // no maplet
-	var buf bytes.Buffer
-	if _, err := codec.WriteFrame(&buf, core.TypeLSMManifest, e.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenStore(dir, Options{})
-	if err != nil {
-		t.Fatalf("v1 manifest refused: %v", err)
-	}
-	for k := uint64(1); k <= 2; k++ {
-		if v, ok := s.Get(k); !ok || v != k*10 {
-			t.Fatalf("key %d = %d, %v", k, v, ok)
-		}
-	}
-	// Upgrade path: a v1 snapshot opens durable too — it holds no WAL
-	// segments, so the store starts a fresh log on top of it.
-	u, err := OpenStore(dir, Options{Durability: DurabilityGroup})
-	if err != nil {
-		t.Fatalf("v1 manifest with durability: %v", err)
-	}
-	u.Close()
-}
-
 // TestOpenStoreRejectsForeignManifestKind: a MANIFEST holding some
-// other frame kind fails with a kind error, not a misparse.
+// other frame kind — a run file, or one of the retired v1 and v2
+// manifest layouts — fails with a kind error, not a misparse.
 func TestOpenStoreRejectsForeignManifestKind(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := codec.WriteFrame(&buf, core.TypeLSMRun, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStore(dir, Options{}); !errors.Is(err, codec.ErrKind) {
-		t.Fatalf("foreign manifest kind: err = %v, want ErrKind", err)
+	for _, kind := range []uint16{core.TypeLSMRun, core.TypeLSMManifest, core.TypeLSMManifestV2} {
+		var buf bytes.Buffer
+		if _, err := codec.WriteFrame(&buf, kind, []byte{1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenStore(dir, Options{}); !errors.Is(err, codec.ErrKind) {
+			t.Fatalf("manifest kind %d: err = %v, want ErrKind", kind, err)
+		}
 	}
 }

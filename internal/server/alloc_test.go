@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"testing"
 
 	"beyondbloom/internal/lsm"
@@ -93,54 +92,47 @@ func TestEngineContainsBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCoalescerLoneDoZeroAlloc pins the lone-requester path: a Do that
-// finds no probe in flight leads, probes its own key in a recycled
-// window and makes no done channel, so it allocates nothing.
-func TestCoalescerLoneDoZeroAlloc(t *testing.T) {
-	c := NewCoalescer(256, func(keys, values []uint64, found []bool) error {
-		for i := range keys {
-			found[i] = keys[i]&1 == 1
+// TestEnginePointZeroAlloc pins the single-key read paths the JSON
+// point handlers serve: Contains and Get probe on the caller's
+// goroutine and allocate nothing.
+func TestEnginePointZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	e := newTestEngine(t, true, Config{})
+	for k := uint64(0); k < 1000; k += 2 {
+		if err := e.Insert(k); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}, nil)
-	defer c.Close()
-	ctx := context.Background()
+		if err := e.Apply(lsm.Entry{Key: k, Value: k + 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	key := uint64(0)
-	run := func() {
-		key++
-		if _, found, err := c.Do(ctx, key); err != nil || found != (key&1 == 1) {
-			t.Fatalf("Do(%d) = %v, %v", key, found, err)
-		}
-	}
-	run()
-	if avg := testing.AllocsPerRun(100, run); avg != 0 {
-		t.Fatalf("lone Do allocates %.1f times per request, want 0", avg)
-	}
-}
-
-// TestCoalescerAsyncAmortizedAllocs pins the open-loop coalescer path:
-// windows are pooled, so per-request allocation at steady state is a
-// small fraction of an allocation (the occasional pool refill), not
-// one-plus per request.
-func TestCoalescerAsyncAmortizedAllocs(t *testing.T) {
-	c := NewCoalescer(256, func(keys, values []uint64, found []bool) error {
-		for i := range keys {
-			found[i] = keys[i]&1 == 1
-		}
-		return nil
-	}, func(tag, value uint64, found bool, err error) {})
-	defer c.Close()
-
-	run := func() { // 256 keys, in as many batches as the flusher drains them in
-		for i := uint64(0); i < 256; i++ {
-			if err := c.EnqueueAsync(i, i); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"contains", func(t *testing.T) {
+			key = (key + 1) % 1000
+			if found, err := e.Contains(key); err != nil || (key%2 == 0 && !found) {
+				t.Fatalf("Contains(%d) = %v, %v", key, found, err)
 			}
-		}
-	}
-	run()
-	avg := testing.AllocsPerRun(100, run)
-	if perReq := avg / 256; perReq > 0.05 {
-		t.Fatalf("async coalescing allocates %.3f per request at steady state (%.1f per run), want amortized ~0", perReq, avg)
+		}},
+		{"get", func(t *testing.T) {
+			key = (key + 1) % 1000
+			v, found, err := e.Get(key)
+			if err != nil || found != (key%2 == 0) || (found && v != key+1) {
+				t.Fatalf("Get(%d) = %d, %v, %v", key, v, found, err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() { tc.run(t) }
+			run()
+			if avg := testing.AllocsPerRun(100, run); avg != 0 {
+				t.Fatalf("%s allocates %.1f times per request, want 0", tc.name, avg)
+			}
+		})
 	}
 }

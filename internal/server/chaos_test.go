@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -25,8 +24,8 @@ func svcChaosValue(k uint64) uint64 { return k*2654435761 + 1 }
 
 // TestServiceChaos is the service's -race chaos test, in the mold of
 // the store's TestChaosConcurrentStore but through the Engine: point
-// reads ride the coalescing windows, batch reads the direct path,
-// writes the admission-controlled Apply path — all while a reloader
+// reads take the scalar path, batch reads the batch path, writes the
+// admission-controlled Apply path — all while a reloader
 // swaps the serving filter between two .bbf snapshots and the store's
 // device and filter blocks fault on an injector schedule. Every
 // operation with established ordering asserts its exact answer; the
@@ -70,11 +69,11 @@ func TestServiceChaos(t *testing.T) {
 		saveFilterFile(t, dir, "gen-b.bbf", memKeys),
 	}
 
-	e, err := NewEngine(filter, store, Config{MaxBatch: 64, MaxInflightKeys: 1 << 20})
+	e, err := NewEngine(filter, store, Config{MaxInflightKeys: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close() // runs before store.Close: final flushes still have a backend
+	defer e.Close() // runs before store.Close, as in filterd
 	ts := httptest.NewServer(New(e))
 	defer ts.Close()
 
@@ -165,8 +164,8 @@ func TestServiceChaos(t *testing.T) {
 
 	var readers sync.WaitGroup
 
-	// Coalesced KV point reader: the window path must stay exact while
-	// its backing store compacts, faults, and stalls.
+	// KV point reader: the scalar path must stay exact while its
+	// backing store compacts, faults, and stalls.
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
@@ -180,7 +179,7 @@ func TestServiceChaos(t *testing.T) {
 			rng = rng*6364136223846793005 + 1442695040888963407
 			k := rng % total
 			st := state[k].Load() // observe BEFORE the read
-			v, ok, err := e.Get(context.Background(), k)
+			v, ok, err := e.Get(k)
 			if err != nil {
 				fail("Get(%d) = %v", k, err)
 				return
@@ -192,7 +191,7 @@ func TestServiceChaos(t *testing.T) {
 		}
 	}()
 
-	// Direct KV batch reader.
+	// KV batch reader.
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
@@ -225,7 +224,7 @@ func TestServiceChaos(t *testing.T) {
 		}
 	}()
 
-	// Coalesced membership point reader: every membership key is in
+	// Membership point reader: every membership key is in
 	// every filter generation, so a false negative is a wrong result no
 	// matter when the reload lands.
 	readers.Add(1)
@@ -240,7 +239,7 @@ func TestServiceChaos(t *testing.T) {
 			}
 			rng = rng*6364136223846793005 + 1442695040888963407
 			k := memKeys[rng%memCount]
-			ok, err := e.Contains(context.Background(), k)
+			ok, err := e.Contains(k)
 			if err != nil {
 				fail("Contains(%d) = %v", k, err)
 				return
@@ -254,7 +253,7 @@ func TestServiceChaos(t *testing.T) {
 		}
 	}()
 
-	// Direct membership batch reader.
+	// Membership batch reader.
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
@@ -341,8 +340,8 @@ func TestServiceChaos(t *testing.T) {
 	if gen := e.Filter().Gen; gen < 2 {
 		t.Fatalf("filter generation %d after %d reloads", gen, reloads)
 	}
-	if st := e.MembershipStats(); st.Windows == 0 || st.Keys == 0 {
-		t.Fatalf("membership coalescer never flushed: %+v", st)
+	if n := e.Metrics().ReqContains.Load(); n < minimumOps {
+		t.Fatalf("single-key membership path served %d requests, want at least %d", n, minimumOps)
 	}
 	stats := store.Device().Counters()
 	if stats.FailedReads+stats.FailedWrites == 0 {

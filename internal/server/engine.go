@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -17,6 +16,8 @@ import (
 // codes; direct embedders (the experiment harness, tests) match on
 // them with errors.Is.
 var (
+	// ErrShutdown is returned to requests that arrive after Close.
+	ErrShutdown = errors.New("server: shutting down")
 	// ErrOverloaded means admission control refused the request: the
 	// in-flight key budget is exhausted (reads) or too many writes are
 	// already queued behind the LSM write stall (writes).
@@ -30,10 +31,6 @@ var (
 
 // Config sizes the service core. The zero value selects the defaults.
 type Config struct {
-	// MaxBatch caps a coalesced window (default 256 — one
-	// core.BatchChunk, so a full window is exactly one hash-once/
-	// probe-many pass).
-	MaxBatch int
 	// MaxInflightKeys is the read admission budget: the total keys
 	// admitted and not yet answered, across point and batch requests
 	// (default 65536). Excess requests fail fast with ErrOverloaded.
@@ -43,15 +40,9 @@ type Config struct {
 	// backpressure mechanism; this budget converts "stalled too deep"
 	// into fast 429s instead of unbounded goroutine pileup.
 	MaxInflightWrites int
-	// Sink receives async probe completions (see Engine.ContainsAsync).
-	// Only the load generator uses it; nil is fine for servers.
-	Sink SinkFunc
 }
 
 func (c *Config) fill() {
-	if c.MaxBatch == 0 {
-		c.MaxBatch = core.BatchChunk
-	}
 	if c.MaxInflightKeys == 0 {
 		c.MaxInflightKeys = 65536
 	}
@@ -61,18 +52,17 @@ func (c *Config) fill() {
 }
 
 // Engine is the service core: the membership filter behind an atomic
-// reload handle, an optional LSM KV store, one coalescer per read op,
-// and admission control in front of both. The HTTP layer (server.go)
-// and the load generator drive the same Engine methods, so what the
-// experiment measures is what the server serves.
+// reload handle, an optional LSM KV store, and admission control in
+// front of both. Every read probes directly on the caller's goroutine:
+// a single key through the scalar Contains/Get, a frame through the
+// batch kernels. The HTTP layer (server.go) and the experiment harness
+// drive the same Engine methods, so what the experiment measures is
+// what the server serves.
 type Engine struct {
 	cfg   Config
 	m     Metrics
 	fh    filterHandle
 	store *lsm.Store
-
-	membership *Coalescer
-	kv         *Coalescer
 
 	inflightKeys   atomic.Int64
 	inflightWrites atomic.Int64
@@ -83,8 +73,8 @@ type Engine struct {
 
 // NewEngine builds the service core over a serving filter (required)
 // and an optional KV store (nil disables the KV endpoints). The store
-// is borrowed, not owned: Close shuts the coalescers down but leaves
-// the store to its creator.
+// is borrowed, not owned: Close refuses later requests but leaves the
+// store to its creator.
 func NewEngine(filter core.Filter, store *lsm.Store, cfg Config) (*Engine, error) {
 	if filter == nil {
 		return nil, fmt.Errorf("server: nil serving filter")
@@ -92,24 +82,7 @@ func NewEngine(filter core.Filter, store *lsm.Store, cfg Config) (*Engine, error
 	cfg.fill()
 	e := &Engine{cfg: cfg, store: store, start: time.Now()}
 	e.fh.install(filter, "")
-	e.membership = NewCoalescer(cfg.MaxBatch, e.flushMembership, cfg.Sink)
-	if store != nil {
-		e.kv = NewCoalescer(cfg.MaxBatch, e.flushKV, cfg.Sink)
-	}
 	return e, nil
-}
-
-// flushMembership answers one membership window against a single
-// filter snapshot — a reload mid-window cannot split the batch.
-func (e *Engine) flushMembership(keys []uint64, _ []uint64, found []bool) error {
-	core.ContainsBatch(e.fh.load().Filter, keys, found)
-	return nil
-}
-
-// flushKV answers one KV window via the store's batched read path.
-func (e *Engine) flushKV(keys []uint64, values []uint64, found []bool) error {
-	e.store.GetBatch(keys, values, found)
-	return nil
 }
 
 // admitKeys charges n keys against the read budget; the caller must
@@ -126,28 +99,24 @@ func (e *Engine) admitKeys(n int) bool {
 
 func (e *Engine) releaseKeys(n int) { e.inflightKeys.Add(int64(-n)) }
 
-// Contains reports membership of key, coalesced with concurrent point
-// requests (see Coalescer.Do).
-func (e *Engine) Contains(ctx context.Context, key uint64) (bool, error) {
+// Contains reports membership of one key with a scalar probe of the
+// current filter snapshot. It allocates nothing.
+func (e *Engine) Contains(key uint64) (bool, error) {
 	e.m.ReqContains.Add(1)
+	if e.closed.Load() {
+		return false, ErrShutdown
+	}
 	if !e.admitKeys(1) {
 		return false, ErrOverloaded
 	}
-	defer e.releaseKeys(1)
-	_, found, err := e.membership.Do(ctx, key)
-	return found, err
+	found := e.fh.load().Filter.Contains(key)
+	e.releaseKeys(1)
+	return found, nil
 }
 
-// ContainsAsync coalesces key like Contains but delivers the answer to
-// cfg.Sink with tag instead of blocking. It bypasses admission — the
-// open-loop load generator is the admission experiment.
-func (e *Engine) ContainsAsync(key, tag uint64) error {
-	return e.membership.EnqueueAsync(key, tag)
-}
-
-// ContainsBatch probes a whole batch directly against the current
-// filter snapshot (the caller already amortized its fan-in). out must
-// be at least len(keys) long. The hot path allocates nothing.
+// ContainsBatch probes a whole batch against one filter snapshot, so a
+// reload mid-batch cannot split it. out must be at least len(keys)
+// long. The hot path allocates nothing.
 func (e *Engine) ContainsBatch(keys []uint64, out []bool) error {
 	e.m.ReqContainsBatch.Add(1)
 	if e.closed.Load() {
@@ -161,17 +130,21 @@ func (e *Engine) ContainsBatch(keys []uint64, out []bool) error {
 	return nil
 }
 
-// Get performs one coalesced LSM point lookup.
-func (e *Engine) Get(ctx context.Context, key uint64) (uint64, bool, error) {
+// Get performs one LSM point lookup.
+func (e *Engine) Get(key uint64) (uint64, bool, error) {
 	e.m.ReqGet.Add(1)
 	if e.store == nil {
 		return 0, false, ErrNoStore
 	}
+	if e.closed.Load() {
+		return 0, false, ErrShutdown
+	}
 	if !e.admitKeys(1) {
 		return 0, false, ErrOverloaded
 	}
-	defer e.releaseKeys(1)
-	return e.kv.Do(ctx, key)
+	value, found := e.store.Get(key)
+	e.releaseKeys(1)
+	return value, found, nil
 }
 
 // GetBatch performs a batch of LSM point lookups directly.
@@ -237,9 +210,9 @@ func (e *Engine) Insert(key uint64) error {
 }
 
 // Reload loads a .bbf file and atomically hands the serving filter
-// over to it. In-flight windows finish against the snapshot they
-// started with; the next window probes the new generation. Reloads
-// are serialized but never block the read path.
+// over to it. In-flight probes finish against the snapshot they
+// started with; the next probe sees the new generation. Reloads are
+// serialized but never block the read path.
 func (e *Engine) Reload(path string) (*FilterSnapshot, error) {
 	e.m.ReqReload.Add(1)
 	e.reloadMu.Lock()
@@ -262,32 +235,18 @@ func (e *Engine) Store() *lsm.Store { return e.store }
 // Metrics returns the counter block.
 func (e *Engine) Metrics() *Metrics { return &e.m }
 
-// MembershipStats returns the membership coalescer's counters.
-func (e *Engine) MembershipStats() CoalescerStats { return e.membership.Stats() }
+// Close makes every later request fail fast with ErrShutdown. A
+// request that passed the check before Close still completes with a
+// real answer. The engine does not wait for such requests: its owner
+// stops the HTTP layer first (http.Server.Shutdown waits for the
+// handlers), then closes the engine, then the store.
+func (e *Engine) Close() { e.closed.Store(true) }
 
-// Close drains the coalescers: queued windows are probed so every
-// in-flight waiter gets a real answer, then all later requests fail
-// fast with ErrShutdown. The store, if any, stays open — its owner
-// closes it after the engine so final flushes still have a backend.
-func (e *Engine) Close() {
-	if e.closed.Swap(true) {
-		return
-	}
-	e.membership.Close()
-	if e.kv != nil {
-		e.kv.Close()
-	}
-}
-
-// gatherAll collects every metric point: server counters, per-role
-// coalescer counters, filter snapshot gauges, and (when a store is
-// attached) the store's device and filter counters.
+// gatherAll collects every metric point: server counters, filter
+// snapshot gauges, and (when a store is attached) the store's device
+// and filter counters.
 func (e *Engine) gatherAll() []metricPoint {
 	points := e.m.gather()
-	points = append(points, gatherCoalescer("membership", e.membership.Stats())...)
-	if e.kv != nil {
-		points = append(points, gatherCoalescer("kv", e.kv.Stats())...)
-	}
 	snap := e.fh.load()
 	points = append(points,
 		metricPoint{"filterd_filter_generation", "", "", int64(snap.Gen)},

@@ -39,8 +39,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // TestMetricsGolden pins the full /metrics page for a fixed request
 // sequence. Every piece is deterministic by construction: the filter
 // seeds are fixed, the store is synchronous (bit-identical I/O replay),
-// and the requests run one at a time, so every coalesced request leads
-// and probes a window of its own (a full one, at MaxBatch=1). Any change to a counter name, label,
+// and the requests run one at a time. Any change to a counter name, label,
 // render order, or to which requests bump which counters shows up as a
 // diff here.
 func TestMetricsGolden(t *testing.T) {
@@ -49,7 +48,7 @@ func TestMetricsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	e, err := NewEngine(newTestFilter(t, 4096), store, Config{MaxBatch: 1})
+	e, err := NewEngine(newTestFilter(t, 4096), store, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

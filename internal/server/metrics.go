@@ -65,18 +65,6 @@ func (m *Metrics) gather() []metricPoint {
 	}
 }
 
-// gatherCoalescer flattens one coalescer's stats under a role label.
-func gatherCoalescer(role string, s CoalescerStats) []metricPoint {
-	prefix := "filterd_coalesce_"
-	return []metricPoint{
-		{prefix + "windows_total", "role", role, s.Windows},
-		{prefix + "keys_total", "role", role, s.Keys},
-		{prefix + "capacity_flushes_total", "role", role, s.CapacityFlushes},
-		{prefix + "close_flushes_total", "role", role, s.CloseFlushes},
-		{prefix + "rejected_total", "role", role, s.Rejected},
-	}
-}
-
 // writeProm renders points in Prometheus text exposition format.
 func writeProm(w io.Writer, points []metricPoint) {
 	for _, p := range points {

@@ -13,9 +13,9 @@ import (
 )
 
 // FilterSnapshot is one immutable generation of the serving filter.
-// Probes grab the current snapshot once and use it for a whole window,
+// Probes grab the current snapshot once and use it for a whole batch,
 // so a reload never splits a batch across two filters; old snapshots
-// drain naturally as their in-flight windows finish.
+// drain naturally as their in-flight probes finish.
 type FilterSnapshot struct {
 	Filter   core.Filter
 	Gen      uint64 // monotonically increasing generation

@@ -102,8 +102,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handleContains answers membership: {"key": k} goes through the
-// coalescer, {"keys": [...]} through the direct batch path.
+// handleContains answers membership: {"key": k} with a scalar probe,
+// {"keys": [...]} through the batch path.
 func (s *Server) handleContains(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.readBody(w, r, maxJSONBody)
 	if !ok {
@@ -115,7 +115,7 @@ func (s *Server) handleContains(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Keys) == 1 {
-		found, err := s.e.Contains(r.Context(), req.Keys[0])
+		found, err := s.e.Contains(req.Keys[0])
 		if err != nil {
 			s.fail(w, err)
 			return
@@ -131,8 +131,8 @@ func (s *Server) handleContains(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string][]bool{"found": out})
 }
 
-// handleGet answers LSM point lookups, coalesced for single keys and
-// direct for batches, mirroring handleContains.
+// handleGet answers LSM point lookups, scalar for single keys and
+// batched for several, mirroring handleContains.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.readBody(w, r, maxJSONBody)
 	if !ok {
@@ -144,7 +144,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Keys) == 1 {
-		value, found, err := s.e.Get(r.Context(), req.Keys[0])
+		value, found, err := s.e.Get(req.Keys[0])
 		if err != nil {
 			s.fail(w, err)
 			return

@@ -99,7 +99,7 @@ func saveFilterFile(t *testing.T, dir, name string, keys []uint64) string {
 }
 
 func TestHTTPRoundTrip(t *testing.T) {
-	e := newTestEngine(t, true, Config{MaxBatch: 1})
+	e := newTestEngine(t, true, Config{})
 	ts := httptest.NewServer(New(e))
 	defer ts.Close()
 

@@ -5,14 +5,13 @@
 //
 //   - wire.go: the request/response wire formats — JSON for humans and
 //     a pinned little-endian binary frame for hot clients.
-//   - coalesce.go: the request coalescer, which batches concurrent
-//     point lookups into ContainsBatch/GetBatch windows so the
-//     hash-once/probe-many kernels pay off under fan-in.
 //   - reload.go: zero-downtime filter reload by atomic snapshot
 //     hand-off from .bbf files.
 //   - metrics.go: atomic counters rendered at /metrics and /debug/vars.
 //   - engine.go: the service core — admission control, backpressure
-//     riding the LSM write-stall path, and the two backends.
+//     riding the LSM write-stall path, and the two backends. A single
+//     key is a scalar probe; a frame of keys is one hash-once/
+//     probe-many ContainsBatch/GetBatch pass.
 //   - server.go: the HTTP layer (cmd/filterd is a thin main around it).
 package server
 

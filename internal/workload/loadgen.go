@@ -15,8 +15,8 @@ import (
 // for an open-loop Poisson process with the given mean rate (events per
 // second). Offset i is when request i should be injected, measured from
 // the start of the run; inter-arrival gaps are exponential, so bursts
-// and lulls both occur, which is exactly what a coalescing window has
-// to survive.
+// and lulls both occur, which is exactly what a batching dispatcher
+// has to survive.
 func PoissonArrivals(n int, ratePerSec float64, seed int64) []int64 {
 	if ratePerSec <= 0 {
 		panic("workload: arrival rate must be positive")

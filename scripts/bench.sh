@@ -58,7 +58,7 @@ go run ./cmd/beyondbloom exp E19 | tee "$RAW"
 python3 scripts/wal_bench_to_json.py <"$RAW" >BENCH_wal.json
 echo "wrote BENCH_wal.json"
 
-echo "== exp E21 (filter service: open-loop coalescing sweep) =="
+echo "== exp E21 (filter service: open-loop natural-batching sweep) =="
 go run ./cmd/beyondbloom exp E21 | tee "$RAW"
 python3 scripts/service_bench_to_json.py <"$RAW" >BENCH_service.json
 echo "wrote BENCH_service.json"

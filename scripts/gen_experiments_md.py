@@ -278,34 +278,32 @@ flat from 1× to 2× design load): two-choice balancing controls the
 per-block load *spread* (tail), not the mean, under uniform inserts.""",
 
     "E21": """The filter service measured end to end (DESIGN.md §11): does
-coalescing concurrent point requests into hash-once/probe-many windows
-buy real capacity, and what does it cost in latency? The capacity
-table is the ceiling — the batched probe engine runs 1.2-2.0× the
-scalar engine over the Zipfian service stream across runs on this
-2-core container (1.29× in the run below). The headline E21a sweep is
-OPEN-LOOP: Poisson arrivals replayed at offered loads set relative to
-measured scalar capacity, with each request's latency taken from its
-*scheduled* arrival, so queueing counts and an overloaded server shows
-a diverging tail instead of a flattering throughput number. The
-coalescer has no timer: its flusher probes whatever queued while the
-previous probe ran, so batch size follows load (avg_batch ~13 at 0.3×
-scalar capacity, ~255 past the knee). At 0.3× the scalar path wins on
-both p50 and p99. The batched p50 is a few µs of hand-off to the
-flusher. The batched p99 is a known cost: the generator and the
-flusher run on two threads, and whenever the host delays either one,
-keys queue for milliseconds (DESIGN.md §11 lists the stalls). From
-0.6× on, the coalescing server achieves more throughput at a lower p99
-in the run below; over seven runs it does so at 1.4× in every run and
-at 0.6-1.1× in five or six of seven. That is the BENCH_service.json
-acceptance predicate, and it holds at GOMAXPROCS=2 only: at
-GOMAXPROCS=1 the batched server loses past the knee (DESIGN.md §11).
-Zero wrong membership answers in every cell. E21b is the closed-loop
-counterpoint: a lone blocking requester finds no probe in flight and
-probes its own key at once, 3-4× slower than a scalar probe (a lone
-request that waited out the old window timer ran ~8000× slower). More
-blocking requesters pay lock contention and follower wake-ups, and
-their batches stay small because each probe is short, so no fan-in in
-this table gains from coalescing blocking requests.""",
+answering concurrent point requests in hash-once/probe-many batches buy
+real capacity, and what does it cost in latency? The capacity table is
+the ceiling — the batched probe engine runs 1.2-1.8× the scalar engine
+over the Zipfian service stream across runs on this 2-core container.
+The headline E21a sweep is OPEN-LOOP: Poisson arrivals replayed at
+offered loads set relative to measured scalar capacity, with each
+request's latency taken from its *scheduled* arrival, so queueing
+counts and an overloaded server shows a diverging tail instead of a
+flattering throughput number. Both arms share one dispatcher thread.
+The scalar arm probes each request alone; the batched arm answers
+every arrival already due (up to 256) with one Engine.ContainsBatch
+call, the call /v1/probe serves. That is natural batching with no
+second thread: avg_batch is a few keys at 0.3× scalar capacity and
+approaches 256 past the knee. At 0.3× the scalar arm wins p50 by about
+1-2 µs, and the p99 goes either way from run to run. Past the knee the
+batching dispatcher achieves more throughput at a lower p99; over five
+runs at GOMAXPROCS=2 and five at GOMAXPROCS=1 it does so at 1.4× in
+every run. That is the BENCH_service.json acceptance predicate. Zero
+wrong membership answers in every cell, and the JSON converter exits
+non-zero if any cell has one. E21b is the closed-loop counterpoint:
+blocking requesters probe one key at a time through the filter's
+Contains and through Engine.Contains. At fan-in 1 the engine runs at
+0.78-1.47× scalar (the request coalescer it replaced ran about 3.3×
+slower than scalar). At fan-in 4 and up on two cores the engine's
+shared request and admission counters cost it about half its
+throughput; on one core they do not (DESIGN.md §11).""",
 
     "A1": """SuRF's own design space: hash suffixes cut point FPR (in space) but do
 nothing for correlated range queries, which need real suffixes — and even

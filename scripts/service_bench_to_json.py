@@ -10,20 +10,26 @@ stdout:
     "open_loop": [{"offered_x_cap", "mode", "offered_kops",
                    "achieved_kops", "p50_us", "p99_us", "p999_us",
                    "avg_batch", "wrong_results"}, ...],
-    "closed_loop": [{"goroutines", "mode", "kops_per_sec",
-                     "avg_batch"}, ...],
+    "closed_loop": [{"goroutines", "mode", "kops_per_sec"}, ...],
     "acceptance": {"batched_over_scalar_capacity": ...,
                    "wrong_results_total": ...,
-                   "batched_beats_scalar_at_high_load": ...}
+                   "batched_beats_scalar_at_high_load": ...,
+                   "engine_over_scalar_fan_in_1": ...,
+                   "engine_within_2x_of_scalar_at_fan_in_1": ...}
   }
 
 The open-loop rows measure scheduled-arrival-to-completion latency
 under Poisson offered load (see exp_service.go), which bench_to_json.py
 cannot produce from `go test -bench` ns/op lines. Acceptance holds when
 the batched engine has capacity headroom over scalar, nobody returned a
-wrong membership answer, and at the highest offered load the coalescing
+wrong membership answer, at the highest offered load the batching
 server both achieves more throughput and a no-worse p99 than the
-per-request scalar baseline.
+per-request scalar baseline, and a lone blocking requester through
+Engine.Contains runs within 2x of a bare scalar probe.
+
+Any open-loop cell with a wrong membership answer makes the script
+exit non-zero after writing the JSON, so a pipeline that feeds E21
+through it fails on a wrong answer.
 """
 
 import json
@@ -75,13 +81,12 @@ def parse(lines):
                     "wrong_results": int(fields[8]),
                 }
             )
-        elif section == "closed" and len(fields) == 4 and fields[1] in {"scalar", "coalesced"}:
+        elif section == "closed" and len(fields) == 3 and fields[1] in {"scalar", "engine"}:
             closed_loop.append(
                 {
                     "goroutines": int(fields[0]),
                     "mode": fields[1],
                     "kops_per_sec": float(fields[2]),
-                    "avg_batch": float(fields[3]),
                 }
             )
     return meta, capacity, open_loop, closed_loop
@@ -103,7 +108,7 @@ def main():
             round(ratio, 3) if ratio is not None else None
         )
 
-    # At the highest offered load: does the coalescing server achieve
+    # At the highest offered load: does the batching server achieve
     # at least as much throughput with a no-worse p99 than scalar?
     top = max((r["offered_x_cap"] for r in open_loop), default=None)
     if top is not None:
@@ -114,6 +119,14 @@ def main():
                 rows["batched"]["achieved_kops"] >= rows["scalar"]["achieved_kops"]
                 and rows["batched"]["p99_us"] <= rows["scalar"]["p99_us"]
             )
+
+    # A lone blocking requester: how close does Engine.Contains come
+    # to a bare scalar probe?
+    lone = {r["mode"]: r for r in closed_loop if r["goroutines"] == 1}
+    if "scalar" in lone and "engine" in lone and lone["scalar"]["kops_per_sec"]:
+        ratio = lone["engine"]["kops_per_sec"] / lone["scalar"]["kops_per_sec"]
+        acceptance["engine_over_scalar_fan_in_1"] = round(ratio, 3)
+        acceptance["engine_within_2x_of_scalar_at_fan_in_1"] = ratio >= 0.5
 
     json.dump(
         {
@@ -127,6 +140,11 @@ def main():
         indent=2,
     )
     sys.stdout.write("\n")
+
+    wrong = [r for r in open_loop if r["wrong_results"] > 0]
+    if wrong:
+        cells = ", ".join(f'{r["offered_x_cap"]}x {r["mode"]}' for r in wrong)
+        sys.exit(f"service_bench_to_json: wrong membership answers in E21a cells: {cells}")
 
 
 if __name__ == "__main__":
